@@ -15,16 +15,16 @@
 //! with no event queue and no per-disk clocks.
 
 use super::{
-    biased_pick, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance,
-    SimWorkspace,
+    biased_pick, op_sojourn, AvailabilityEstimate, DowntimeBooks, IterationOutcome, McConfig,
+    McEngine, McVariance, SimWorkspace, Weights,
 };
 use crate::error::{CoreError, Result};
 use crate::markov::WrongReplacementTiming;
 use crate::params::ModelParams;
 use availsim_sim::indexed_queue::{IndexedEventQueue, QueueStats};
-use availsim_sim::rng::SimRng;
+use availsim_sim::rng::{SimRng, SojournCut};
 use availsim_sim::telemetry::{Counter, Telemetry};
-use availsim_storage::{DowntimeLog, EventTrace, FailureModel, OutageCause, TraceKind};
+use availsim_storage::{EventTrace, FailureModel, OutageCause, TraceKind};
 
 /// Operating mode of the simulated array (mirrors the Fig. 2 states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,15 +74,101 @@ pub(crate) struct ConvScratch {
 }
 
 /// How a mission actually runs once engine *and* variance scheme are
-/// resolved against the failure model.
+/// resolved against the failure model, with everything fixed for the run
+/// built in: the per-mission dispatch of [`ConventionalMc::run`].
 #[derive(Debug, Clone, Copy)]
-enum RunMode {
-    /// Plain sampling; `fast` selects the jump chain vs the event queue.
-    Naive { fast: bool },
-    /// Importance sampling on the jump chain (forcing + failure biasing).
-    Biased { bias: f64 },
-    /// Fixed-effort multilevel splitting on the event-queue engine.
+enum Mission {
+    /// The naive jump chain, with the run's cut of OP's exit clock.
+    Jump {
+        rates: JumpRates,
+        op_cut: Option<SojournCut>,
+    },
+    /// The importance-sampled jump chain.
+    Biased { rates: JumpRates, bias: f64 },
+    /// The naive event-queue engine.
+    EventQueue,
+    /// A splitting replication on the event-queue engine.
     Split { effort: u64 },
+}
+
+/// The Fig. 2 jump chain's exit rates and total exit rates, computed once
+/// per model instead of once per mission.
+///
+/// In OP the next failure is the minimum of n memoryless clocks: Exp(n·λ).
+/// In EXP the n−1 survivors race the two service outcomes; disk renewal on
+/// every return to OP matches the general engine's regenerative resampling
+/// because the exponential is memoryless.
+///
+/// With an LSE model attached, a rebuild completion splits by the
+/// per-rebuild LSE-hit probability `ue`: rate (1−hep)·(1−ue)·μ_DF returns
+/// to OP, rate (1−hep)·ue·μ_DF lost data during the rebuild reads (exactly
+/// the split the generic exact chain applies through
+/// `with_rebuild_failure_probability`). At ue = 0 the arithmetic is
+/// bit-exact with the unsplit rates — `(1−hep)·1.0` and `x + 0.0` are
+/// identities — and the zero-rate LSE exit is fenced off in the kernels,
+/// so an LSE-free run consumes the identical RNG stream and returns
+/// identical bits.
+#[derive(Debug, Clone, Copy)]
+struct JumpRates {
+    op_fail: f64,
+    exp_fail: f64,
+    exp_repair: f64,
+    exp_lse: f64,
+    exp_wrong: f64,
+    exp_total: f64,
+    du_recover: f64,
+    du_crash: f64,
+    du_total: f64,
+    dl_restore: f64,
+}
+
+impl JumpRates {
+    /// The rates of a model with exponential failures; `None` otherwise
+    /// (the chain does not describe non-memoryless lifetimes).
+    fn of(
+        params: &ModelParams,
+        failures: &FailureModel,
+        timing: WrongReplacementTiming,
+    ) -> Option<Self> {
+        let FailureModel::Exponential(d) = failures else {
+            return None;
+        };
+        let p = params;
+        let n = f64::from(p.disks());
+        let lam = d.rate();
+        let hep = p.hep.value();
+        let ue = p.rebuild_lse_probability();
+        let op_fail = n * lam;
+        let exp_fail = (n - 1.0) * lam;
+        let exp_repair = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
+        let exp_lse = (1.0 - hep) * ue * p.disk_repair_rate;
+        let exp_wrong = wrong_pull_rate(p, timing);
+        let du_recover = (1.0 - hep) * p.human_recovery_rate;
+        let du_crash = p.removed_crash_rate;
+        Some(JumpRates {
+            op_fail,
+            exp_fail,
+            exp_repair,
+            exp_lse,
+            exp_wrong,
+            exp_total: exp_fail + exp_repair + exp_wrong + exp_lse,
+            du_recover,
+            du_crash,
+            du_total: du_recover + du_crash,
+            dl_restore: p.ddf_recovery_rate,
+        })
+    }
+
+    /// Total exit rate of a state.
+    #[inline]
+    fn total(&self, mode: Mode) -> f64 {
+        match mode {
+            Mode::Op => self.op_fail,
+            Mode::Exp => self.exp_total,
+            Mode::Du => self.du_total,
+            Mode::Dl => self.dl_restore,
+        }
+    }
 }
 
 /// Splitting checkpoint: first entry into the degraded state (one failed
@@ -181,6 +267,16 @@ fn flush_jump_counters(
     tele.add(Counter::DataLossEvents, edges[3] + edges[5]);
 }
 
+/// The EXP → DU rate: `hep` times the service rate the wrong pull races
+/// under the chosen timing reading.
+fn wrong_pull_rate(p: &ModelParams, timing: WrongReplacementTiming) -> f64 {
+    let base = match timing {
+        WrongReplacementTiming::ChangeAction => p.disk_change_rate,
+        WrongReplacementTiming::RepairCompletion => p.disk_repair_rate,
+    };
+    p.hep.value() * base
+}
+
 /// The conventional-replacement Monte-Carlo model.
 #[derive(Debug)]
 pub struct ConventionalMc {
@@ -188,6 +284,8 @@ pub struct ConventionalMc {
     failures: FailureModel,
     timing: WrongReplacementTiming,
     engine: McEngine,
+    /// The jump chain's rates; `None` for non-exponential failures.
+    rates: Option<JumpRates>,
 }
 
 impl ConventionalMc {
@@ -221,10 +319,12 @@ impl ConventionalMc {
                 params.geometry.total_disks()
             )));
         }
+        let timing = WrongReplacementTiming::default();
         Ok(ConventionalMc {
+            rates: JumpRates::of(&params, &failures, timing),
             params,
             failures,
-            timing: WrongReplacementTiming::default(),
+            timing,
             engine: McEngine::Auto,
         })
     }
@@ -233,6 +333,7 @@ impl ConventionalMc {
     /// model being validated against).
     pub fn with_timing(mut self, timing: WrongReplacementTiming) -> Self {
         self.timing = timing;
+        self.rates = JumpRates::of(&self.params, &self.failures, timing);
         self
     }
 
@@ -252,7 +353,7 @@ impl ConventionalMc {
     /// Fig. 2 CTMC, which is only distribution-equivalent to the per-disk
     /// simulation when disk lifetimes are memoryless.
     fn jump_chain_applicable(&self) -> bool {
-        matches!(self.failures, FailureModel::Exponential(_))
+        self.rates.is_some()
     }
 
     /// Resolves the configured engine to "use the fast path?".
@@ -278,16 +379,29 @@ impl ConventionalMc {
         }
     }
 
-    fn wrong_pull_rate(&self) -> f64 {
-        let base = match self.timing {
-            WrongReplacementTiming::ChangeAction => self.params.disk_change_rate,
-            WrongReplacementTiming::RepairCompletion => self.params.disk_repair_rate,
-        };
-        self.params.hep.value() * base
+    /// The jump-chain rates when the configured engine resolves to the
+    /// fast path for single missions (a forced-but-inapplicable
+    /// [`McEngine::JumpChain`] falls back to the general engine).
+    fn fast_rates(&self) -> Option<&JumpRates> {
+        match self.engine {
+            McEngine::EventQueue => None,
+            McEngine::Auto | McEngine::JumpChain => self.rates.as_ref(),
+        }
+    }
+
+    /// The naive mission on the fast path (`fast`) or the event queue.
+    fn naive_mission(&self, fast: bool, horizon: f64) -> Mission {
+        match self.rates {
+            Some(rates) if fast => Mission::Jump {
+                rates,
+                op_cut: SojournCut::new(rates.op_fail, horizon),
+            },
+            _ => Mission::EventQueue,
+        }
     }
 
     /// Resolves the configured engine and variance scheme to a concrete
-    /// per-mission run mode.
+    /// per-mission run mode over `horizon`.
     ///
     /// * `FailureBiasing` needs the jump chain (a tractable path density),
     ///   so it rejects Weibull models and a forced [`McEngine::EventQueue`];
@@ -300,12 +414,10 @@ impl ConventionalMc {
     /// # Errors
     /// [`CoreError::InvalidParameter`] for the incompatible combinations
     /// above (and invalid scheme parameters via [`McVariance::validate`]).
-    fn resolve_run_mode(&self, variance: McVariance) -> Result<RunMode> {
+    fn resolve_mission(&self, variance: McVariance, horizon: f64) -> Result<Mission> {
         variance.validate()?;
         match variance {
-            McVariance::Naive => Ok(RunMode::Naive {
-                fast: self.resolve_fast_path()?,
-            }),
+            McVariance::Naive => Ok(self.naive_mission(self.resolve_fast_path()?, horizon)),
             McVariance::FailureBiasing { bias } => {
                 if matches!(self.engine, McEngine::EventQueue) {
                     return Err(CoreError::InvalidParameter(
@@ -314,19 +426,19 @@ impl ConventionalMc {
                             .into(),
                     ));
                 }
-                if !self.jump_chain_applicable() {
+                let Some(rates) = self.rates else {
                     return Err(CoreError::InvalidParameter(
                         "failure biasing requires exponential failures (the jump \
                          chain carries the likelihood ratio); use \
                          McVariance::Splitting for Weibull models"
                             .into(),
                     ));
-                }
+                };
                 if bias <= 0.0 {
                     // Exactly the naive estimator, by construction.
-                    Ok(RunMode::Naive { fast: true })
+                    Ok(self.naive_mission(true, horizon))
                 } else {
-                    Ok(RunMode::Biased { bias })
+                    Ok(Mission::Biased { rates, bias })
                 }
             }
             McVariance::Splitting { levels, effort } => {
@@ -340,11 +452,11 @@ impl ConventionalMc {
                 if levels <= 1 {
                     // One level = no intermediate threshold: a plain
                     // event-queue run, bit-for-bit.
-                    Ok(RunMode::Naive { fast: false })
+                    Ok(Mission::EventQueue)
                 } else {
                     // The conventional model's degraded-state depth is 2
                     // (OP → one-failed → down); deeper level ladders clamp.
-                    Ok(RunMode::Split { effort })
+                    Ok(Mission::Split { effort })
                 }
             }
         }
@@ -379,14 +491,16 @@ impl ConventionalMc {
         config: &McConfig,
         cancel: Option<&availsim_sim::parallel::CancelToken>,
     ) -> Result<AvailabilityEstimate> {
-        let mode = self.resolve_run_mode(config.variance)?;
+        let mission = self.resolve_mission(config.variance, config.horizon_hours)?;
+        let base = SimRng::substream_base(config.seed);
         let mut est = super::run_iterations_cancellable(
             config,
             cancel,
+            Weights::of(matches!(mission, Mission::Biased { .. })),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = SimRng::substream(config.seed, i);
-                self.dispatch(config.horizon_hours, &mut rng, ws, mode)
+                let mut rng = ws.mission_rng(base, i);
+                self.dispatch(config.horizon_hours, &mut rng, ws, &mission)
             },
         )?;
         est.normalize_nomdl(f64::from(self.params.geometry.usable_capacity()));
@@ -406,15 +520,17 @@ impl ConventionalMc {
         target_half_width: f64,
         max_iterations: u64,
     ) -> Result<AvailabilityEstimate> {
-        let mode = self.resolve_run_mode(config.variance)?;
+        let mission = self.resolve_mission(config.variance, config.horizon_hours)?;
+        let base = SimRng::substream_base(config.seed);
         let mut est = super::run_to_precision_with(
             config,
             target_half_width,
             max_iterations,
+            Weights::of(matches!(mission, Mission::Biased { .. })),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = SimRng::substream(config.seed, i);
-                self.dispatch(config.horizon_hours, &mut rng, ws, mode)
+                let mut rng = ws.mission_rng(base, i);
+                self.dispatch(config.horizon_hours, &mut rng, ws, &mission)
             },
         )?;
         est.normalize_nomdl(f64::from(self.params.geometry.usable_capacity()));
@@ -426,17 +542,17 @@ impl ConventionalMc {
         horizon: f64,
         rng: &mut SimRng,
         ws: &mut SimWorkspace,
-        mode: RunMode,
+        mission: &Mission,
     ) -> IterationOutcome {
-        match mode {
-            RunMode::Naive { fast: true } => {
-                self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
+        match mission {
+            Mission::Jump { rates, op_cut } => {
+                rates.simulate(horizon, *op_cut, rng, &mut ws.telemetry)
             }
-            RunMode::Naive { fast: false } => self.simulate_event_queue(horizon, rng, ws, None),
-            RunMode::Biased { bias } => {
-                self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
+            Mission::EventQueue => self.simulate_event_queue(horizon, rng, ws, None),
+            Mission::Biased { rates, bias } => {
+                rates.simulate_biased(horizon, *bias, rng, &mut ws.telemetry)
             }
-            RunMode::Split { effort } => self.simulate_split_replication(horizon, effort, rng, ws),
+            Mission::Split { effort } => self.simulate_split_replication(horizon, *effort, rng, ws),
         }
     }
 
@@ -455,10 +571,9 @@ impl ConventionalMc {
         trace: Option<&mut EventTrace>,
     ) -> IterationOutcome {
         let mut ws = SimWorkspace::new();
-        if trace.is_none() && self.resolve_fast_path().unwrap_or(false) {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
-        } else {
-            self.simulate_event_queue(horizon, rng, &mut ws, trace)
+        match self.fast_rates() {
+            Some(_) if trace.is_none() => self.simulate_once_with(horizon, rng, &mut ws),
+            _ => self.simulate_event_queue(horizon, rng, &mut ws, trace),
         }
     }
 
@@ -477,161 +592,12 @@ impl ConventionalMc {
         rng: &mut SimRng,
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
-        if self.resolve_fast_path().unwrap_or(false) {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
-        } else {
-            self.simulate_event_queue(horizon, rng, ws, None)
-        }
-    }
-
-    /// The jump-chain fast path: with exponential failures the mission is a
-    /// replay of the four-state Fig. 2 CTMC, so each transition costs one
-    /// exponential sojourn draw plus (in states with competing exits) one
-    /// uniform to pick the winner — no event queue, no per-disk clocks.
-    fn simulate_jump_chain(
-        &self,
-        horizon: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let lam = match &self.failures {
-            FailureModel::Exponential(d) => d.rate(),
-            FailureModel::Weibull(_) => unreachable!("fast path requires exponential failures"),
-        };
-        let hep = p.hep.value();
-
-        // Exit rates of the four states. In OP the next failure is the
-        // minimum of n memoryless clocks: Exp(n·λ). In EXP the n−1
-        // survivors race the two service outcomes; disk renewal on every
-        // return to OP matches the general engine's regenerative resampling
-        // because the exponential is memoryless.
-        //
-        // With an LSE model attached, a rebuild completion splits by the
-        // per-rebuild LSE-hit probability `ue`: rate (1−hep)·(1−ue)·μ_DF
-        // returns to OP, rate (1−hep)·ue·μ_DF lost data during the rebuild
-        // reads (exactly the split the generic exact chain applies through
-        // `with_rebuild_failure_probability`). At ue = 0 the arithmetic is
-        // bit-exact with the unsplit rates — `(1−hep)·1.0` and `x + 0.0`
-        // are identities — and the zero-rate LSE exit is fenced off below,
-        // so an LSE-free run consumes the identical RNG stream and returns
-        // identical bits.
-        let ue = p.rebuild_lse_probability();
-        let op_fail = n * lam;
-        let exp_fail = (n - 1.0) * lam;
-        let exp_repair = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
-        let exp_lse = (1.0 - hep) * ue * p.disk_repair_rate;
-        let exp_wrong = self.wrong_pull_rate();
-        let du_recover = (1.0 - hep) * p.human_recovery_rate;
-        let du_crash = p.removed_crash_rate;
-        let dl_restore = p.ddf_recovery_rate;
-
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let mut first_loss = f64::INFINITY;
-        // Edge tallies (op→exp, exp→op, exp→du, exp→dl, du→op, du→dl,
-        // dl→op) and draw counts, kept in registers and flushed once per
-        // mission so telemetry never touches the transition loop.
-        let mut edges = [0u64; 7];
-        let mut lse_hits = 0u64;
-        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
-
-        loop {
-            let total = match mode {
-                Mode::Op => op_fail,
-                Mode::Exp => exp_fail + exp_repair + exp_wrong + exp_lse,
-                Mode::Du => du_recover + du_crash,
-                Mode::Dl => dl_restore,
-            };
-            let Some(dt) = rng.sample_exp(total) else {
-                break; // absorbing state: no enabled exits
-            };
-            exp_draws += 1;
-            t += dt;
-            if t > horizon {
-                break;
+        match self.fast_rates() {
+            Some(rates) => {
+                let op_cut = ws.sojourn_cut(rates.op_fail, horizon);
+                rates.simulate(horizon, op_cut, rng, &mut ws.telemetry)
             }
-            // Winner ∝ rate. `u < total` holds in exact arithmetic (the
-            // uniform is < 1), but fl(u·total) can round up to exactly
-            // `total`, so each selection explicitly fences off disabled
-            // (zero-rate) final exits — a rate-0 transition must never win
-            // (e.g. no DU event may ever fire when hep = 0).
-            match mode {
-                Mode::Op => {
-                    mode = Mode::Exp;
-                    edges[0] += 1;
-                }
-                Mode::Exp => {
-                    let u = rng.next_f64() * total;
-                    uniform_draws += 1;
-                    if u < exp_fail {
-                        // Second failure during service: data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[3] += 1;
-                        first_loss = first_loss.min(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    } else if (exp_wrong <= 0.0 && exp_lse <= 0.0) || u < exp_fail + exp_repair {
-                        mode = Mode::Op;
-                        edges[1] += 1;
-                    } else if exp_lse <= 0.0
-                        || (exp_wrong > 0.0 && u < exp_fail + exp_repair + exp_wrong)
-                    {
-                        mode = Mode::Du;
-                        du_events += 1;
-                        edges[2] += 1;
-                        log.begin(t, OutageCause::HumanError);
-                    } else {
-                        // Rebuild completed but a read of a surviving disk
-                        // hit a latent sector error: data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[3] += 1;
-                        lse_hits += 1;
-                        first_loss = first_loss.min(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    }
-                }
-                Mode::Du => {
-                    let u = rng.next_f64() * total;
-                    uniform_draws += 1;
-                    if du_crash <= 0.0 || u < du_recover {
-                        mode = Mode::Op;
-                        edges[4] += 1;
-                        log.end(t);
-                    } else {
-                        // The wrongly removed disk crashed: the outage
-                        // continues, re-attributed to data loss.
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[5] += 1;
-                        first_loss = first_loss.min(t);
-                        log.end(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    }
-                }
-                Mode::Dl => {
-                    mode = Mode::Op;
-                    edges[6] += 1;
-                    log.end(t);
-                }
-            }
-        }
-
-        log.finalize(horizon);
-        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
-        IterationOutcome {
-            downtime_hours: log.total_downtime(),
-            du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-            dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-            du_events,
-            dl_events,
-            first_loss_hours: first_loss,
-            weight: 1.0,
+            None => self.simulate_event_queue(horizon, rng, ws, None),
         }
     }
 
@@ -653,182 +619,11 @@ impl ConventionalMc {
         rng: &mut SimRng,
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
-        if bias > 0.0 && self.jump_chain_applicable() {
-            self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
-        } else {
-            self.simulate_once_with(horizon, rng, ws)
-        }
-    }
-
-    /// The importance-sampled jump chain: identical state machine to
-    /// [`Self::simulate_jump_chain`], but
-    ///
-    /// * the **first** OP sojourn is *forced* into the mission window (a
-    ///   truncated-exponential draw), multiplying `P(T ≤ horizon)` into the
-    ///   weight — a mission with zero failures contributes zero downtime,
-    ///   so restricting the proposal to failing missions loses nothing and
-    ///   removes the `1/P(any failure)` waste of naive sampling; later OP
-    ///   sojourns stay nominal (their paths carry accrued downtime, so the
-    ///   proposal must keep them reachable);
-    /// * in states with competing exits the winner is drawn with
-    ///   [`biased_pick`] — the failure / human-error exits share proposal
-    ///   mass `bias` — and the likelihood-ratio factor multiplies into the
-    ///   weight.
-    ///
-    /// Two RNG draws per transition, exactly like the naive fast path.
-    fn simulate_jump_chain_biased(
-        &self,
-        horizon: f64,
-        bias: f64,
-        rng: &mut SimRng,
-        log: &mut DowntimeLog,
-        tele: &mut Telemetry,
-    ) -> IterationOutcome {
-        log.clear();
-        let p = &self.params;
-        let n = f64::from(p.disks());
-        let lam = match &self.failures {
-            FailureModel::Exponential(d) => d.rate(),
-            FailureModel::Weibull(_) => unreachable!("fast path requires exponential failures"),
-        };
-        let hep = p.hep.value();
-
-        // Same LSE rebuild split (and ue = 0 bit-identity argument) as the
-        // naive jump chain.
-        let ue = p.rebuild_lse_probability();
-        let op_fail = n * lam;
-        let exp_fail = (n - 1.0) * lam;
-        let exp_repair = (1.0 - hep) * (1.0 - ue) * p.disk_repair_rate;
-        let exp_lse = (1.0 - hep) * ue * p.disk_repair_rate;
-        let exp_wrong = self.wrong_pull_rate();
-        let du_recover = (1.0 - hep) * p.human_recovery_rate;
-        let du_crash = p.removed_crash_rate;
-        let dl_restore = p.ddf_recovery_rate;
-
-        let mut mode = Mode::Op;
-        let mut t = 0.0;
-        let mut weight = 1.0f64;
-        let mut force_next_failure = true;
-        let (mut du_events, mut dl_events) = (0u64, 0u64);
-        let mut first_loss = f64::INFINITY;
-        let mut edges = [0u64; 7];
-        let mut lse_hits = 0u64;
-        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
-
-        loop {
-            let total = match mode {
-                Mode::Op => op_fail,
-                Mode::Exp => exp_fail + exp_repair + exp_wrong + exp_lse,
-                Mode::Du => du_recover + du_crash,
-                Mode::Dl => dl_restore,
-            };
-            let dt = if mode == Mode::Op && force_next_failure {
-                force_next_failure = false;
-                match rng.sample_exp_within(total, horizon - t) {
-                    Some((dt, p_hit)) => {
-                        exp_draws += 1;
-                        weight *= p_hit;
-                        dt
-                    }
-                    None => break,
-                }
-            } else {
-                match rng.sample_exp(total) {
-                    Some(dt) => {
-                        exp_draws += 1;
-                        dt
-                    }
-                    None => break, // absorbing state: no enabled exits
-                }
-            };
-            t += dt;
-            if t > horizon {
-                break;
+        match &self.rates {
+            Some(rates) if bias > 0.0 => {
+                rates.simulate_biased(horizon, bias, rng, &mut ws.telemetry)
             }
-            match mode {
-                Mode::Op => {
-                    mode = Mode::Exp;
-                    edges[0] += 1;
-                }
-                Mode::Exp => {
-                    // Biased set: the second failure, the wrong pull, and
-                    // the LSE-failed rebuild — the exits toward the down
-                    // states. `biased_pick` ignores zero-rate members, so
-                    // the appended LSE exit changes nothing at ue = 0.
-                    let exits = [
-                        (exp_fail, true),
-                        (exp_wrong, true),
-                        (exp_repair, false),
-                        (exp_lse, true),
-                    ];
-                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
-                    uniform_draws += 1;
-                    weight *= ratio;
-                    match idx {
-                        0 => {
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            edges[3] += 1;
-                            first_loss = first_loss.min(t);
-                            log.begin(t, OutageCause::DataLoss);
-                        }
-                        1 => {
-                            mode = Mode::Du;
-                            du_events += 1;
-                            edges[2] += 1;
-                            log.begin(t, OutageCause::HumanError);
-                        }
-                        3 => {
-                            mode = Mode::Dl;
-                            dl_events += 1;
-                            edges[3] += 1;
-                            lse_hits += 1;
-                            first_loss = first_loss.min(t);
-                            log.begin(t, OutageCause::DataLoss);
-                        }
-                        _ => {
-                            mode = Mode::Op;
-                            edges[1] += 1;
-                        }
-                    }
-                }
-                Mode::Du => {
-                    // Biased set: the removed-disk crash (DU → DL).
-                    let exits = [(du_crash, true), (du_recover, false)];
-                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
-                    uniform_draws += 1;
-                    weight *= ratio;
-                    if idx == 0 {
-                        mode = Mode::Dl;
-                        dl_events += 1;
-                        edges[5] += 1;
-                        first_loss = first_loss.min(t);
-                        log.end(t);
-                        log.begin(t, OutageCause::DataLoss);
-                    } else {
-                        mode = Mode::Op;
-                        edges[4] += 1;
-                        log.end(t);
-                    }
-                }
-                Mode::Dl => {
-                    mode = Mode::Op;
-                    edges[6] += 1;
-                    log.end(t);
-                }
-            }
-        }
-
-        log.finalize(horizon);
-        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
-        IterationOutcome {
-            downtime_hours: log.total_downtime(),
-            du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-            dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-            du_events,
-            dl_events,
-            first_loss_hours: first_loss,
-            weight,
+            _ => self.simulate_once_with(horizon, rng, ws),
         }
     }
 
@@ -893,7 +688,7 @@ impl ConventionalMc {
         // which `sample_exp_inv` treats as "draw nothing", exactly like
         // `sample_exp(0)`).
         let repair_inv = ((1.0 - hep) * p.disk_repair_rate).recip();
-        let wrong_inv = self.wrong_pull_rate().recip();
+        let wrong_inv = wrong_pull_rate(p, self.timing).recip();
         let recover_inv = ((1.0 - hep) * p.human_recovery_rate).recip();
         let crash_inv = p.removed_crash_rate.recip();
         let restore_inv = p.ddf_recovery_rate.recip();
@@ -1369,6 +1164,252 @@ impl ConventionalMc {
             first_loss_hours: f64::INFINITY,
             weight: 1.0,
         }
+    }
+}
+
+impl JumpRates {
+    /// The jump-chain fast path: with exponential failures the mission is a
+    /// replay of the four-state Fig. 2 CTMC, so each transition costs one
+    /// exponential sojourn draw plus (in states with competing exits) one
+    /// uniform to pick the winner — no event queue, no per-disk clocks.
+    ///
+    /// Every OP sojourn goes through `op_cut`, the [`SojournCut`] of
+    /// `(op_fail, horizon)`: the same uniform, the same outcome and the
+    /// same sojourn as `sample_exp`, without a logarithm when the array
+    /// clearly never fails again.
+    fn simulate(
+        &self,
+        horizon: f64,
+        op_cut: Option<SojournCut>,
+        rng: &mut SimRng,
+        tele: &mut Telemetry,
+    ) -> IterationOutcome {
+        let mut books = DowntimeBooks::new();
+        let mut mode = Mode::Op;
+        let mut t = 0.0;
+        let (mut du_events, mut dl_events) = (0u64, 0u64);
+        // Edge tallies (op→exp, exp→op, exp→du, exp→dl, du→op, du→dl,
+        // dl→op) and draw counts, kept in registers and flushed once per
+        // mission so telemetry never touches the transition loop.
+        let mut edges = [0u64; 7];
+        let mut lse_hits = 0u64;
+        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
+
+        let mut sojourn = op_sojourn(op_cut, rng, &mut exp_draws);
+        while let Some(dt) = sojourn {
+            t += dt;
+            if t > horizon {
+                break;
+            }
+            // Winner ∝ rate. `u < total` holds in exact arithmetic (the
+            // uniform is < 1), but fl(u·total) can round up to exactly
+            // `total`, so each selection explicitly fences off disabled
+            // (zero-rate) final exits — a rate-0 transition must never win
+            // (e.g. no DU event may ever fire when hep = 0).
+            match mode {
+                Mode::Op => {
+                    mode = Mode::Exp;
+                    edges[0] += 1;
+                }
+                Mode::Exp => {
+                    let u = rng.next_f64() * self.exp_total;
+                    uniform_draws += 1;
+                    if u < self.exp_fail {
+                        // Second failure during service: data loss.
+                        mode = Mode::Dl;
+                        dl_events += 1;
+                        edges[3] += 1;
+                        books.begin(t, OutageCause::DataLoss);
+                    } else if (self.exp_wrong <= 0.0 && self.exp_lse <= 0.0)
+                        || u < self.exp_fail + self.exp_repair
+                    {
+                        mode = Mode::Op;
+                        edges[1] += 1;
+                    } else if self.exp_lse <= 0.0
+                        || (self.exp_wrong > 0.0
+                            && u < self.exp_fail + self.exp_repair + self.exp_wrong)
+                    {
+                        mode = Mode::Du;
+                        du_events += 1;
+                        edges[2] += 1;
+                        books.begin(t, OutageCause::HumanError);
+                    } else {
+                        // Rebuild completed but a read of a surviving disk
+                        // hit a latent sector error: data loss.
+                        mode = Mode::Dl;
+                        dl_events += 1;
+                        edges[3] += 1;
+                        lse_hits += 1;
+                        books.begin(t, OutageCause::DataLoss);
+                    }
+                }
+                Mode::Du => {
+                    let u = rng.next_f64() * self.du_total;
+                    uniform_draws += 1;
+                    if self.du_crash <= 0.0 || u < self.du_recover {
+                        mode = Mode::Op;
+                        edges[4] += 1;
+                        books.end(t);
+                    } else {
+                        // The wrongly removed disk crashed: the outage
+                        // continues, re-attributed to data loss.
+                        mode = Mode::Dl;
+                        dl_events += 1;
+                        edges[5] += 1;
+                        books.end(t);
+                        books.begin(t, OutageCause::DataLoss);
+                    }
+                }
+                Mode::Dl => {
+                    mode = Mode::Op;
+                    edges[6] += 1;
+                    books.end(t);
+                }
+            }
+            sojourn = if mode == Mode::Op {
+                op_sojourn(op_cut, rng, &mut exp_draws)
+            } else {
+                let s = rng.sample_exp(self.total(mode));
+                exp_draws += u64::from(s.is_some()); // none: absorbing state
+                s
+            };
+        }
+
+        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
+        books.outcome(horizon, du_events, dl_events, 1.0)
+    }
+
+    /// The importance-sampled jump chain: identical state machine to
+    /// [`Self::simulate`], but
+    ///
+    /// * the **first** OP sojourn is *forced* into the mission window (a
+    ///   truncated-exponential draw), multiplying `P(T ≤ horizon)` into the
+    ///   weight — a mission with zero failures contributes zero downtime,
+    ///   so restricting the proposal to failing missions loses nothing and
+    ///   removes the `1/P(any failure)` waste of naive sampling; later OP
+    ///   sojourns stay nominal (their paths carry accrued downtime, so the
+    ///   proposal must keep them reachable);
+    /// * in states with competing exits the winner is drawn with
+    ///   [`biased_pick`] — the failure / human-error exits share proposal
+    ///   mass `bias` — and the likelihood-ratio factor multiplies into the
+    ///   weight.
+    ///
+    /// Two RNG draws per transition, exactly like the naive fast path.
+    fn simulate_biased(
+        &self,
+        horizon: f64,
+        bias: f64,
+        rng: &mut SimRng,
+        tele: &mut Telemetry,
+    ) -> IterationOutcome {
+        let mut books = DowntimeBooks::new();
+        let mut mode = Mode::Op;
+        let mut t = 0.0;
+        let mut weight = 1.0f64;
+        let mut force_next_failure = true;
+        let (mut du_events, mut dl_events) = (0u64, 0u64);
+        let mut edges = [0u64; 7];
+        let mut lse_hits = 0u64;
+        let (mut exp_draws, mut uniform_draws) = (0u64, 0u64);
+
+        loop {
+            let total = self.total(mode);
+            let dt = if mode == Mode::Op && force_next_failure {
+                force_next_failure = false;
+                match rng.sample_exp_within(total, horizon - t) {
+                    Some((dt, p_hit)) => {
+                        exp_draws += 1;
+                        weight *= p_hit;
+                        dt
+                    }
+                    None => break,
+                }
+            } else {
+                match rng.sample_exp(total) {
+                    Some(dt) => {
+                        exp_draws += 1;
+                        dt
+                    }
+                    None => break, // absorbing state: no enabled exits
+                }
+            };
+            t += dt;
+            if t > horizon {
+                break;
+            }
+            match mode {
+                Mode::Op => {
+                    mode = Mode::Exp;
+                    edges[0] += 1;
+                }
+                Mode::Exp => {
+                    // Biased set: the second failure, the wrong pull, and
+                    // the LSE-failed rebuild — the exits toward the down
+                    // states. `biased_pick` ignores zero-rate members, so
+                    // the appended LSE exit changes nothing at ue = 0.
+                    let exits = [
+                        (self.exp_fail, true),
+                        (self.exp_wrong, true),
+                        (self.exp_repair, false),
+                        (self.exp_lse, true),
+                    ];
+                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
+                    uniform_draws += 1;
+                    weight *= ratio;
+                    match idx {
+                        0 => {
+                            mode = Mode::Dl;
+                            dl_events += 1;
+                            edges[3] += 1;
+                            books.begin(t, OutageCause::DataLoss);
+                        }
+                        1 => {
+                            mode = Mode::Du;
+                            du_events += 1;
+                            edges[2] += 1;
+                            books.begin(t, OutageCause::HumanError);
+                        }
+                        3 => {
+                            mode = Mode::Dl;
+                            dl_events += 1;
+                            edges[3] += 1;
+                            lse_hits += 1;
+                            books.begin(t, OutageCause::DataLoss);
+                        }
+                        _ => {
+                            mode = Mode::Op;
+                            edges[1] += 1;
+                        }
+                    }
+                }
+                Mode::Du => {
+                    // Biased set: the removed-disk crash (DU → DL).
+                    let exits = [(self.du_crash, true), (self.du_recover, false)];
+                    let (idx, ratio) = biased_pick(rng, &exits, total, bias);
+                    uniform_draws += 1;
+                    weight *= ratio;
+                    if idx == 0 {
+                        mode = Mode::Dl;
+                        dl_events += 1;
+                        edges[5] += 1;
+                        books.end(t);
+                        books.begin(t, OutageCause::DataLoss);
+                    } else {
+                        mode = Mode::Op;
+                        edges[4] += 1;
+                        books.end(t);
+                    }
+                }
+                Mode::Dl => {
+                    mode = Mode::Op;
+                    edges[6] += 1;
+                    books.end(t);
+                }
+            }
+        }
+
+        flush_jump_counters(tele, &edges, lse_hits, exp_draws, uniform_draws);
+        books.outcome(horizon, du_events, dl_events, weight)
     }
 }
 
@@ -1858,11 +1899,16 @@ mod tests {
 
     #[test]
     fn lse_first_loss_time_is_the_earliest_dl_entry() {
-        // Single traced mission with heavy LSE exposure: the outcome's
-        // first-loss time must match the first DATA LOSS outage start.
+        // Single missions with heavy LSE exposure: the outcome's first-loss
+        // time must match the first DATA LOSS outage start. Only the
+        // event-queue engine keeps the outage list in the workspace log;
+        // the jump chain keeps scalar books, whose first-loss time is held
+        // to the log's by `downtime_books_match_the_downtime_log`.
         let scrub = availsim_storage::ScrubbingModel::new(1e-2, 1_000.0).unwrap();
         let p = params(2e-3, 0.0).with_scrubbing(scrub);
-        let mc = ConventionalMc::new(p).unwrap();
+        let mc = ConventionalMc::new(p)
+            .unwrap()
+            .with_engine(McEngine::EventQueue);
         let mut ws = SimWorkspace::new();
         let mut found = false;
         for seed in 0..50u64 {

@@ -15,15 +15,15 @@
 
 use self::states::Mode;
 use super::{
-    biased_pick, AvailabilityEstimate, IterationOutcome, McConfig, McEngine, McVariance,
-    SimWorkspace,
+    biased_pick, op_sojourn, AvailabilityEstimate, DowntimeBooks, IterationOutcome, McConfig,
+    McEngine, McVariance, SimWorkspace, Weights,
 };
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
 use availsim_sim::indexed_queue::{IndexedEventQueue, QueueStats};
-use availsim_sim::rng::SimRng;
+use availsim_sim::rng::{SimRng, SojournCut};
 use availsim_sim::telemetry::{Counter, Telemetry};
-use availsim_storage::{DowntimeLog, OutageCause};
+use availsim_storage::OutageCause;
 
 mod states {
     /// The twelve Fig. 3 states.
@@ -361,27 +361,24 @@ impl FailOverMc {
     ) -> Result<AvailabilityEstimate> {
         let fast = self.fast_path();
         let bias = self.resolve_bias(config.variance)?;
+        let horizon = config.horizon_hours;
+        let op_cut = SojournCut::new(self.table.totals[Mode::Op as usize], horizon);
+        let base = SimRng::substream_base(config.seed);
         super::run_iterations_cancellable(
             config,
             cancel,
+            Weights::of(bias.is_some()),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = SimRng::substream(config.seed, i);
+                let mut rng = ws.mission_rng(base, i);
                 match bias {
-                    Some(bias) => self.simulate_jump_chain_biased(
-                        config.horizon_hours,
-                        bias,
-                        &mut rng,
-                        &mut ws.log,
-                        &mut ws.telemetry,
-                    ),
-                    None if fast => self.simulate_jump_chain(
-                        config.horizon_hours,
-                        &mut rng,
-                        &mut ws.log,
-                        &mut ws.telemetry,
-                    ),
-                    None => self.simulate_event_queue(config.horizon_hours, &mut rng, ws),
+                    Some(bias) => {
+                        self.simulate_jump_chain_biased(horizon, bias, &mut rng, &mut ws.telemetry)
+                    }
+                    None if fast => {
+                        self.simulate_jump_chain(horizon, op_cut, &mut rng, &mut ws.telemetry)
+                    }
+                    None => self.simulate_event_queue(horizon, &mut rng, ws),
                 }
             },
         )
@@ -406,7 +403,8 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if self.fast_path() {
-            self.simulate_jump_chain(horizon, rng, &mut ws.log, &mut ws.telemetry)
+            let op_cut = ws.sojourn_cut(self.table.totals[Mode::Op as usize], horizon);
+            self.simulate_jump_chain(horizon, op_cut, rng, &mut ws.telemetry)
         } else {
             self.simulate_event_queue(horizon, rng, ws)
         }
@@ -414,26 +412,26 @@ impl FailOverMc {
 
     /// The jump-chain fast path: sample the sojourn from the state's total
     /// exit rate, pick the winning transition with one uniform — two RNG
-    /// draws per transition, no event queue.
+    /// draws per transition, no event queue. Every OP sojourn goes through
+    /// `op_cut`, the [`SojournCut`] of OP's exit rate and the horizon
+    /// (`None` when OP has no exit): the same uniform, outcome and
+    /// sojourn as `sample_exp`, without a logarithm when the array clearly
+    /// never fails again.
     fn simulate_jump_chain(
         &self,
         horizon: f64,
+        op_cut: Option<SojournCut>,
         rng: &mut SimRng,
-        log: &mut DowntimeLog,
         tele: &mut Telemetry,
     ) -> IterationOutcome {
-        log.clear();
+        let mut books = DowntimeBooks::new();
         let mut mode = Mode::Op;
         let mut t = 0.0;
         let (mut du_events, mut dl_events) = (0u64, 0u64);
         let (mut transitions, mut exp_draws, mut uniform_draws) = (0u64, 0u64, 0u64);
 
-        loop {
-            let total = self.table.totals[mode as usize];
-            let Some(dt) = rng.sample_exp(total) else {
-                break; // absorbing state: no enabled exits
-            };
-            exp_draws += 1;
+        let mut sojourn = op_sojourn(op_cut, rng, &mut exp_draws);
+        while let Some(dt) = sojourn {
             t += dt;
             if t > horizon {
                 break;
@@ -441,6 +439,7 @@ impl FailOverMc {
             // Winner ∝ rate: walk the cumulative distribution. Rounding can
             // leave `u` a hair past the last bucket; the final enabled exit
             // then wins (its upper edge is the total by construction).
+            let total = self.table.totals[mode as usize];
             let mut u = rng.next_f64() * total;
             uniform_draws += 1;
             let mut next = mode;
@@ -454,14 +453,20 @@ impl FailOverMc {
                 }
                 u -= rate;
             }
-            account_transition(mode, next, t, log, &mut du_events, &mut dl_events);
+            account_transition(mode, next, t, &mut books, &mut du_events, &mut dl_events);
             mode = next;
             transitions += 1;
+            sojourn = if mode == Mode::Op {
+                op_sojourn(op_cut, rng, &mut exp_draws)
+            } else {
+                let s = rng.sample_exp(self.table.totals[mode as usize]);
+                exp_draws += u64::from(s.is_some()); // none: absorbing state
+                s
+            };
         }
 
-        log.finalize(horizon);
         flush_chain_counters(tele, transitions, exp_draws, uniform_draws);
-        outcome_from(log, du_events, dl_events, 1.0)
+        books.outcome(horizon, du_events, dl_events, 1.0)
     }
 
     /// Simulates one importance-sampled mission on a reusable workspace
@@ -476,7 +481,7 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if bias > 0.0 {
-            self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.log, &mut ws.telemetry)
+            self.simulate_jump_chain_biased(horizon, bias, rng, &mut ws.telemetry)
         } else {
             self.simulate_once_with(horizon, rng, ws)
         }
@@ -492,10 +497,9 @@ impl FailOverMc {
         horizon: f64,
         bias: f64,
         rng: &mut SimRng,
-        log: &mut DowntimeLog,
         tele: &mut Telemetry,
     ) -> IterationOutcome {
-        log.clear();
+        let mut books = DowntimeBooks::new();
         let mut mode = Mode::Op;
         let mut t = 0.0;
         let mut weight = 1.0f64;
@@ -541,14 +545,13 @@ impl FailOverMc {
                 weight *= ratio;
                 exits[idx].1
             };
-            account_transition(mode, next, t, log, &mut du_events, &mut dl_events);
+            account_transition(mode, next, t, &mut books, &mut du_events, &mut dl_events);
             mode = next;
             transitions += 1;
         }
 
-        log.finalize(horizon);
         flush_chain_counters(tele, transitions, exp_draws, uniform_draws);
-        outcome_from(log, du_events, dl_events, weight)
+        books.outcome(horizon, du_events, dl_events, weight)
     }
 
     /// The general event-queue engine: arm one exponential clock per
@@ -562,9 +565,8 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         ws.failover.reset();
-        ws.log.clear();
         let queue = &mut ws.failover.queue;
-        let log = &mut ws.log;
+        let mut books = DowntimeBooks::new();
         let tele = &mut ws.telemetry;
         let mut mode = Mode::Op;
         let mut epoch = 0u32;
@@ -605,16 +607,15 @@ impl FailOverMc {
             // of surfacing later as stale pops. The epoch guard above
             // stays as a defensive invariant.
             queue.cancel_all();
-            account_transition(mode, jump.to, t, log, &mut du_events, &mut dl_events);
+            account_transition(mode, jump.to, t, &mut books, &mut du_events, &mut dl_events);
             mode = jump.to;
             epoch += 1;
             transitions += 1;
             arm(mode, epoch, queue, rng, &mut exp_draws);
         }
 
-        log.finalize(horizon);
         flush_chain_counters(tele, transitions, exp_draws, 0);
-        outcome_from(log, du_events, dl_events, 1.0)
+        books.outcome(horizon, du_events, dl_events, 1.0)
     }
 }
 
@@ -622,11 +623,12 @@ impl FailOverMc {
 /// the single source of truth shared by both engines, including the
 /// down-to-down re-attribution rule (e.g. `DUns1 → DLns` closes the
 /// human-error outage and opens a data-loss one at the same instant).
+#[inline]
 fn account_transition(
     was: Mode,
     now: Mode,
     t: f64,
-    log: &mut DowntimeLog,
+    books: &mut DowntimeBooks,
     du_events: &mut u64,
     dl_events: &mut u64,
 ) {
@@ -634,50 +636,25 @@ fn account_transition(
         (true, false) => {
             if now.is_data_loss() {
                 *dl_events += 1;
-                log.begin(t, OutageCause::DataLoss);
+                books.begin(t, OutageCause::DataLoss);
             } else {
                 *du_events += 1;
-                log.begin(t, OutageCause::HumanError);
+                books.begin(t, OutageCause::HumanError);
             }
         }
-        (false, true) => log.end(t),
+        (false, true) => books.end(t),
         (false, false) => {
             if !was.is_data_loss() && now.is_data_loss() {
                 *dl_events += 1;
-                log.end(t);
-                log.begin(t, OutageCause::DataLoss);
+                books.end(t);
+                books.begin(t, OutageCause::DataLoss);
             } else if was.is_data_loss() && !now.is_data_loss() {
                 *du_events += 1;
-                log.end(t);
-                log.begin(t, OutageCause::HumanError);
+                books.end(t);
+                books.begin(t, OutageCause::HumanError);
             }
         }
         (true, true) => {}
-    }
-}
-
-fn outcome_from(
-    log: &DowntimeLog,
-    du_events: u64,
-    dl_events: u64,
-    weight: f64,
-) -> IterationOutcome {
-    IterationOutcome {
-        downtime_hours: log.total_downtime(),
-        du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-        dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-        du_events,
-        dl_events,
-        // First entry into a data-loss state (the chain logs every DL
-        // entry as a DataLoss outage, including down-to-down
-        // re-attributions at the same instant).
-        first_loss_hours: log
-            .outages()
-            .iter()
-            .filter(|o| o.cause == OutageCause::DataLoss)
-            .map(|o| o.start)
-            .fold(f64::INFINITY, f64::min),
-        weight,
     }
 }
 

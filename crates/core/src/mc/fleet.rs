@@ -578,6 +578,7 @@ impl FleetMc {
         let threads = availsim_sim::parallel::resolve_workers(config.threads);
         let arrays = f64::from(self.spec.arrays());
         let horizon = config.horizon_hours;
+        let base = SimRng::substream_base(config.seed);
 
         #[derive(Clone, Copy)]
         struct Partial {
@@ -633,7 +634,7 @@ impl FleetMc {
                     counters: CounterSnapshot::default(),
                 };
                 for i in lo..hi {
-                    let mut rng = SimRng::substream(config.seed, i);
+                    let mut rng = SimRng::substream_from_base(base, i);
                     let out = self.simulate_once_with(horizon, &mut rng, ws);
                     p.stats
                         .push(1.0 - out.array_downtime_hours() / (arrays * horizon));

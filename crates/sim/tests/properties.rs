@@ -5,7 +5,7 @@ use availsim_sim::distributions::{
 };
 use availsim_sim::engine::EventQueue;
 use availsim_sim::indexed_queue::IndexedEventQueue;
-use availsim_sim::rng::SimRng;
+use availsim_sim::rng::{SimRng, SojournCut, SplitMix64};
 use availsim_sim::stats::{ks_test, t_interval, RunningStats};
 use proptest::prelude::*;
 
@@ -405,4 +405,156 @@ proptest! {
             "neither CI covers p={p}: small {ci_small}, big {ci_big}"
         );
     }
+}
+
+// Exact-equivalence suite for the two Monte-Carlo hot-path shortcuts: the
+// hoisted substream base and the sojourn horizon cut must be
+// indistinguishable from the expressions they replace.
+
+/// The sojourn `SimRng::sample_exp` computes from the uniform `u`.
+fn exact_sojourn(u: f64, rate: f64) -> f64 {
+    -u.ln() / rate
+}
+
+/// Checks the cut on one uniform: a kept sojourn is bit-equal to the
+/// exact one, and a cut one overshoots the horizon on its own — hence from
+/// every start `t ≥ 0`, which `starts` spot-checks. At `t = 0` (the first
+/// sojourn of a mission) the cut therefore decides exactly as
+/// `-ln(u)/rate > horizon` does. Returns whether `u` was cut.
+fn check_cut(cut: &SojournCut, u: f64, starts: &[f64]) -> Result<bool, String> {
+    let (rate, horizon) = (cut.rate(), cut.horizon());
+    let dt = exact_sojourn(u, rate);
+    match cut.sojourn(u) {
+        Some(kept) if kept.to_bits() == dt.to_bits() => Ok(false),
+        Some(kept) => Err(format!(
+            "rate {rate:e}, horizon {horizon}: u = {u:e} kept {kept:e}, exact {dt:e}"
+        )),
+        None => match starts.iter().find(|&&t| t + dt <= horizon) {
+            None => Ok(true),
+            Some(t) => Err(format!(
+                "rate {rate:e}, horizon {horizon}: u = {u:e} cut, but {t} + {dt:e} \
+                 ends within the horizon"
+            )),
+        },
+    }
+}
+
+/// Start times from the mission start to the horizon itself.
+fn starts(horizon: f64) -> Vec<f64> {
+    let mut t: Vec<f64> = (0..=16).map(|k| horizon * f64::from(k) / 16.0).collect();
+    t.push(f64::from_bits(horizon.to_bits() - 1));
+    t
+}
+
+/// Checks the cut on a dense grid of `u` around the threshold
+/// `e^{-rate·horizon}` and its guard-band edge: every neighbouring `f64`,
+/// every neighbouring multiple of 2⁻⁵³ (the values `next_open_f64` can
+/// return), and a relative sweep through the band. Returns how many grid
+/// points were cut, for coverage checks.
+fn check_cut_around_threshold(rate: f64, horizon: f64) -> Result<usize, String> {
+    let cut = SojournCut::new(rate, horizon).expect("positive rate");
+    let threshold = (-rate * horizon).exp();
+    let mut grid = Vec::new();
+    for centre in [threshold, threshold * (1.0 - SojournCut::GUARD)] {
+        if !(centre > 0.0 && centre < 1.0) {
+            continue;
+        }
+        for k in -300i64..=300 {
+            grid.push(f64::from_bits((centre.to_bits() as i64 + k) as u64));
+            let lattice = ((centre * 2f64.powi(53)).round() + k as f64) / 2f64.powi(53);
+            grid.push(lattice);
+        }
+        for e in -14..=-3 {
+            for m in [1.0, 2.0, 5.0] {
+                let d = m * 10f64.powi(e);
+                grid.extend([centre * (1.0 - d), centre * (1.0 + d)]);
+            }
+        }
+    }
+    let starts = starts(horizon);
+    let mut cut_count = 0;
+    for u in grid.into_iter().filter(|u| *u > 0.0 && *u < 1.0) {
+        cut_count += usize::from(check_cut(&cut, u, &starts)?);
+    }
+    Ok(cut_count)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn substream_from_base_matches_substream(seed in any::<u64>(), index in any::<u64>()) {
+        let base = SimRng::substream_base(seed);
+        let mut hoisted = SimRng::substream_from_base(base, index);
+        let mut direct = SimRng::substream(seed, index);
+        // The substream derivation spelled out: hash the seed once through
+        // SplitMix64, mix in the index, and seed from the result.
+        let spelled = SplitMix64::new(seed).next_u64() ^ index.wrapping_mul(0xA24B_AED4_963E_E407);
+        let mut reference = SimRng::seed_from(spelled);
+        prop_assert_eq!(hoisted.clone(), reference.clone());
+        prop_assert_eq!(direct.clone(), reference.clone());
+        for _ in 0..8 {
+            let want = reference.next_u64();
+            prop_assert_eq!(hoisted.next_u64(), want);
+            prop_assert_eq!(direct.next_u64(), want);
+        }
+    }
+
+    #[test]
+    fn sojourn_cut_matches_the_exact_sojourn_near_the_threshold(
+        log_rate_horizon in -12.0f64..3.0,
+        horizon in 1.0f64..1e6,
+    ) {
+        let rate = 10f64.powf(log_rate_horizon) / horizon;
+        if let Err(msg) = check_cut_around_threshold(rate, horizon) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn sojourn_cut_matches_the_exact_sojourn_on_random_draws(
+        seed in any::<u64>(),
+        log_rate_horizon in -12.0f64..3.0,
+        horizon in 1.0f64..1e6,
+    ) {
+        let rate = 10f64.powf(log_rate_horizon) / horizon;
+        let cut = SojournCut::new(rate, horizon).unwrap();
+        let starts = starts(horizon);
+        let mut rng = SimRng::seed_from(seed);
+        for _ in 0..256 {
+            if let Err(msg) = check_cut(&cut, rng.next_open_f64(), &starts) {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+}
+
+#[test]
+fn sojourn_cut_is_exact_at_extreme_rate_horizon_products() {
+    let horizon = 87_600.0;
+    let starts = starts(horizon);
+    for product in [1e-12, 1.0, 700.0, 800.0] {
+        let rate = product / horizon;
+        let cut_count = check_cut_around_threshold(rate, horizon).unwrap();
+        let cut = SojournCut::new(rate, horizon).unwrap();
+        if product == 800.0 {
+            // e^{-800} underflows to 0: no uniform is below the threshold,
+            // so every draw takes the exact path.
+            assert_eq!((-rate * horizon).exp(), 0.0);
+            assert_eq!(cut_count, 0);
+        } else {
+            assert!(cut_count > 0, "grid at rate·horizon {product} is never cut");
+        }
+        let mut rng = SimRng::seed_from(product.to_bits());
+        for u in (0..20_000).map(|_| rng.next_open_f64()).chain([
+            f64::EPSILON / 2.0,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+        ]) {
+            check_cut(&cut, u, &starts).unwrap();
+        }
+    }
+    // A disabled clock has no sojourn to cut.
+    assert!(SojournCut::new(0.0, horizon).is_none());
+    assert!(SojournCut::new(-1.0, horizon).is_none());
 }

@@ -15,8 +15,10 @@
 use availsim::bench::snapshot::JsonSnapshot;
 use availsim::core::markov::{GenericKofN, Raid5Conventional, Raid5FailOver};
 use availsim::core::mc::{
-    ConventionalMc, DomainFailures, FleetCoupling, FleetMc, McConfig, McVariance, DEGRADED_BINS,
+    DomainFailures, FleetCoupling, FleetMc, McConfig, McVariance, DEGRADED_BINS,
 };
+use availsim::core::sensitivity::PolicyModel;
+use availsim::core::validate::validate_point;
 use availsim::core::volume::compare_equal_capacity;
 use availsim::core::{nines, ModelParams};
 use availsim::exp::spec::{MetricsFormat, Scenario, TelemetrySettings};
@@ -246,11 +248,8 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         // covers the data-loss tier too.
         params = params.with_scrubbing(scrub);
     }
-    let markov = Raid5Conventional::new(params)?.solve()?;
     let variance = parse_variance_flags(flags)?;
-    let mut phases = PhaseSpans::new();
-    let started = Instant::now();
-    let est = ConventionalMc::new(params)?.run(&McConfig {
+    let config = McConfig {
         iterations,
         horizon_hours: 87_600.0,
         seed: flag(flags, "seed", 42u64)?,
@@ -258,9 +257,20 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         threads,
         variance,
         telemetry: tele.enabled(),
-    })?;
+    };
+    let mut phases = PhaseSpans::new();
+    let started = Instant::now();
+    let point = validate_point(PolicyModel::Conventional, params, &config)?;
     phases.record("run", started.elapsed().as_micros() as u64);
-    println!("markov availability : {:.9}", markov.availability());
+    let est = &point.estimate;
+    println!(
+        "exact interval      : {:.9} ({} h mission from OP; the oracle)",
+        point.interval_availability, config.horizon_hours
+    );
+    println!(
+        "markov availability : {:.9} (steady state; reference)",
+        point.steady_state_availability
+    );
     println!("mc availability     : {}", est.availability);
     if !matches!(variance, McVariance::Naive) {
         println!(
@@ -270,8 +280,8 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     println!(
         "verdict             : {}",
-        if est.is_consistent_with(markov.availability()) {
-            "consistent (Markov inside the 99% CI)"
+        if point.consistent {
+            "consistent (exact interval availability inside the 99% CI)"
         } else {
             "INCONSISTENT — investigate"
         }
