@@ -16,7 +16,7 @@
 
 use super::{
     biased_pick, op_sojourn, AvailabilityEstimate, DowntimeBooks, IterationOutcome, McConfig,
-    McEngine, McVariance, SimWorkspace, Weights,
+    McEngine, McVariance, SimWorkspace,
 };
 use crate::error::{CoreError, Result};
 use crate::markov::WrongReplacementTiming;
@@ -496,10 +496,9 @@ impl ConventionalMc {
         let mut est = super::run_iterations_cancellable(
             config,
             cancel,
-            Weights::of(matches!(mission, Mission::Biased { .. })),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = ws.mission_rng(base, i);
+                let mut rng = SimRng::substream_from_base(base, i);
                 self.dispatch(config.horizon_hours, &mut rng, ws, &mission)
             },
         )?;
@@ -526,10 +525,9 @@ impl ConventionalMc {
             config,
             target_half_width,
             max_iterations,
-            Weights::of(matches!(mission, Mission::Biased { .. })),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = ws.mission_rng(base, i);
+                let mut rng = SimRng::substream_from_base(base, i);
                 self.dispatch(config.horizon_hours, &mut rng, ws, &mission)
             },
         )?;
@@ -594,7 +592,7 @@ impl ConventionalMc {
     ) -> IterationOutcome {
         match self.fast_rates() {
             Some(rates) => {
-                let op_cut = ws.sojourn_cut(rates.op_fail, horizon);
+                let op_cut = SojournCut::new(rates.op_fail, horizon);
                 rates.simulate(horizon, op_cut, rng, &mut ws.telemetry)
             }
             None => self.simulate_event_queue(horizon, rng, ws, None),
@@ -699,9 +697,8 @@ impl ConventionalMc {
         let p_lse = p.rebuild_lse_probability();
 
         ws.conventional.reset(n);
-        ws.log.clear();
         let ConvScratch { queue, slot_gen } = &mut ws.conventional;
-        let log = &mut ws.log;
+        let mut books = DowntimeBooks::new();
         let tele = &mut ws.telemetry;
         // Draw tallies, accumulated locally and flushed once per run (the
         // queue's own traffic counters live inside `IndexedEventQueue`).
@@ -711,7 +708,6 @@ impl ConventionalMc {
         let mut failed_slot: Option<usize> = None;
         let (mut du_events, mut dl_events) = (0u64, 0u64);
         let mut lse_hits = 0u64;
-        let mut first_loss = f64::INFINITY;
         let mut down_entry: Option<DownEntry> = None;
         // Pending service events of the current state, by race lane
         // (0 = the recovery-flavoured exit, 1 = the failure-flavoured one);
@@ -809,12 +805,11 @@ impl ConventionalMc {
                 epoch = 1;
                 let services: &[(usize, Service, f64)] = if entry.data_loss {
                     mode = Mode::Dl;
-                    first_loss = first_loss.min(entry.t);
-                    log.begin(entry.t, OutageCause::DataLoss);
+                    books.begin(entry.t, OutageCause::DataLoss);
                     &[(0, Service::Restore, restore_inv)]
                 } else {
                     mode = Mode::Du;
-                    log.begin(entry.t, OutageCause::HumanError);
+                    books.begin(entry.t, OutageCause::HumanError);
                     &[
                         (0, Service::RecoveryOk, recover_inv),
                         (1, Service::RemovedCrash, crash_inv),
@@ -854,11 +849,10 @@ impl ConventionalMc {
                             // service race is void.
                             mode = Mode::Dl;
                             dl_events += 1;
-                            first_loss = first_loss.min(t);
                             epoch += 1;
                             cancel_service!(0);
                             cancel_service!(1);
-                            log.begin(t, OutageCause::DataLoss);
+                            books.begin(t, OutageCause::DataLoss);
                             trace.record(t, TraceKind::DiskFailure { disk: slot as u32 });
                             trace.record(t, TraceKind::DataLoss);
                             if stop_at_down {
@@ -897,8 +891,7 @@ impl ConventionalMc {
                                 mode = Mode::Dl;
                                 dl_events += 1;
                                 lse_hits += 1;
-                                first_loss = first_loss.min(t);
-                                log.begin(t, OutageCause::DataLoss);
+                                books.begin(t, OutageCause::DataLoss);
                                 trace.record(t, TraceKind::RebuildLse);
                                 trace.record(t, TraceKind::DataLoss);
                                 if stop_at_down {
@@ -933,7 +926,7 @@ impl ConventionalMc {
                             epoch += 1;
                             svc[1] = None;
                             cancel_service!(0);
-                            log.begin(t, OutageCause::HumanError);
+                            books.begin(t, OutageCause::HumanError);
                             trace.record(t, TraceKind::WrongReplacement { removed_disk: 0 });
                             trace.record(t, TraceKind::DataUnavailable);
                             if stop_at_down {
@@ -954,7 +947,7 @@ impl ConventionalMc {
                             svc[0] = None;
                             cancel_service!(1);
                             failed_slot = None;
-                            log.end(t);
+                            books.end(t);
                             trace.record(t, TraceKind::WrongReplacementUndone);
                             for (slot, gen) in slot_gen.iter_mut().enumerate() {
                                 *gen += 1;
@@ -973,13 +966,12 @@ impl ConventionalMc {
                         (Mode::Du, Service::RemovedCrash) => {
                             mode = Mode::Dl;
                             dl_events += 1;
-                            first_loss = first_loss.min(t);
                             epoch += 1;
                             svc[1] = None;
                             cancel_service!(0);
                             // Re-attribute the remaining outage to data loss.
-                            log.end(t);
-                            log.begin(t, OutageCause::DataLoss);
+                            books.end(t);
+                            books.begin(t, OutageCause::DataLoss);
                             trace.record(t, TraceKind::RemovedDiskCrashed);
                             trace.record(t, TraceKind::DataLoss);
                             arm_service!(0, Service::Restore, restore_inv);
@@ -989,7 +981,7 @@ impl ConventionalMc {
                             epoch += 1;
                             svc[0] = None;
                             failed_slot = None;
-                            log.end(t);
+                            books.end(t);
                             trace.record(t, TraceKind::BackupRestoreComplete);
                             for (slot, gen) in slot_gen.iter_mut().enumerate() {
                                 *gen += 1;
@@ -1012,7 +1004,6 @@ impl ConventionalMc {
             }
         }
 
-        log.finalize(horizon);
         if tele.enabled() {
             tele.add(Counter::RngExpDraws, exp_draws);
             tele.add(Counter::RngLifetimeDraws, ttf_draws);
@@ -1021,15 +1012,7 @@ impl ConventionalMc {
             tele.add(Counter::DataLossEvents, dl_events);
         }
         (
-            IterationOutcome {
-                downtime_hours: log.total_downtime(),
-                du_downtime_hours: log.downtime_by_cause(OutageCause::HumanError),
-                dl_downtime_hours: log.downtime_by_cause(OutageCause::DataLoss),
-                du_events,
-                dl_events,
-                first_loss_hours: first_loss,
-                weight: 1.0,
-            },
+            books.outcome(horizon, du_events, dl_events, 1.0),
             down_entry,
         )
     }
@@ -1646,7 +1629,6 @@ mod tests {
                 let mut rng = SimRng::seed_from(s);
                 let _ = mc.simulate_once_with(30_000.0, &mut rng, &mut reused);
             }
-            reused.log.begin(1.0, OutageCause::HumanError);
             reused.trace.record(2.0, TraceKind::DataLoss);
 
             let mut fresh = SimWorkspace::new();
@@ -1900,51 +1882,98 @@ mod tests {
     #[test]
     fn lse_first_loss_time_is_the_earliest_dl_entry() {
         // Single missions with heavy LSE exposure: the outcome's first-loss
-        // time must match the first DATA LOSS outage start. Only the
-        // event-queue engine keeps the outage list in the workspace log;
-        // the jump chain keeps scalar books, whose first-loss time is held
-        // to the log's by `downtime_books_match_the_downtime_log`.
+        // time must be the time of the first entry into DL.
         let scrub = availsim_storage::ScrubbingModel::new(1e-2, 1_000.0).unwrap();
         let p = params(2e-3, 0.0).with_scrubbing(scrub);
+        let horizon = 50_000.0;
+
+        // Event-queue engine: every DL entry is a DATA LOSS trace event.
         let mc = ConventionalMc::new(p)
             .unwrap()
             .with_engine(McEngine::EventQueue);
-        let mut ws = SimWorkspace::new();
+        let mut trace = EventTrace::new();
         let mut found = false;
         for seed in 0..50u64 {
+            trace.clear();
             let mut rng = SimRng::seed_from(seed);
-            let out = mc.simulate_once_with(50_000.0, &mut rng, &mut ws);
-            if out.first_loss_hours.is_finite() {
-                found = true;
-                let first_dl = ws
-                    .log
-                    .outages()
-                    .iter()
-                    .filter(|o| o.cause == OutageCause::DataLoss)
-                    .map(|o| o.start)
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(out.first_loss_hours.to_bits(), first_dl.to_bits());
-                assert!(out.dl_events > 0);
+            let out = mc.simulate_once(horizon, &mut rng, Some(&mut trace));
+            let first_dl = trace
+                .events()
+                .iter()
+                .filter(|e| e.kind == TraceKind::DataLoss)
+                .map(|e| e.time)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                out.first_loss_hours.to_bits(),
+                first_dl.to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                out.first_loss_hours.is_finite(),
+                out.dl_events > 0,
+                "seed {seed}"
+            );
+            found |= out.dl_events > 0;
+        }
+        assert!(
+            found,
+            "no event-queue mission lost data despite heavy LSE exposure"
+        );
+
+        // Jump chain: replay the mission's first OP and EXP sojourns and
+        // the first EXP exit pick. Loss happens at that exit or later, and
+        // exactly there when the exit goes to DL (hep = 0: a second
+        // failure below `exp_fail`, an LSE hit at or above
+        // `exp_fail + exp_repair`). Milder LSE exposure (a rebuild hits
+        // one about a quarter of the time), so both cases occur.
+        let scrub = availsim_storage::ScrubbingModel::new(2e-4, 1_000.0).unwrap();
+        let mc = ConventionalMc::new(params(2e-3, 0.0).with_scrubbing(scrub)).unwrap();
+        let rates = mc.rates.expect("exponential failures");
+        assert!(rates.exp_lse > 0.0 && rates.exp_wrong == 0.0);
+        let mut ws = SimWorkspace::new();
+        let (mut exact, mut later) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut replay = rng.clone();
+            let out = mc.simulate_once_with(horizon, &mut rng, &mut ws);
+            assert_eq!(
+                out.first_loss_hours.is_finite(),
+                out.dl_events > 0,
+                "seed {seed}"
+            );
+            if !out.first_loss_hours.is_finite() {
+                continue;
+            }
+            assert!(out.first_loss_hours <= horizon, "seed {seed}");
+            assert!(out.dl_downtime_hours > 0.0, "seed {seed}");
+            assert!(
+                out.dl_downtime_hours <= horizon - out.first_loss_hours,
+                "seed {seed}: DL downtime before the first loss"
+            );
+            let mut t = 0.0;
+            t += replay.sample_exp(rates.op_fail).unwrap();
+            t += replay.sample_exp(rates.exp_total).unwrap();
+            let u = replay.next_f64() * rates.exp_total;
+            if u < rates.exp_fail || u >= rates.exp_fail + rates.exp_repair {
+                assert_eq!(out.first_loss_hours.to_bits(), t.to_bits(), "seed {seed}");
+                exact += 1;
             } else {
-                assert_eq!(
-                    ws.log.count_by_cause(OutageCause::DataLoss),
-                    0,
-                    "seed {seed}"
-                );
+                assert!(out.first_loss_hours > t, "seed {seed}");
+                later += 1;
             }
         }
-        assert!(found, "no mission lost data despite heavy LSE exposure");
+        assert!(
+            exact > 0 && later > 0,
+            "both cases must occur: {exact} exact, {later} later"
+        );
     }
 
     #[test]
     fn workspace_reset_scrubs_poisoned_state() {
         let mut ws = SimWorkspace::new();
-        ws.log.begin(5.0, OutageCause::DataLoss);
         ws.trace.record(1.0, TraceKind::DataLoss);
         ws.conventional.slot_gen.resize(8, 3);
         ws.reset();
-        assert!(!ws.log.is_down());
-        assert!(ws.log.outages().is_empty());
         assert!(ws.trace().is_empty());
         assert!(ws.conventional.slot_gen.is_empty());
     }

@@ -16,7 +16,7 @@
 use self::states::Mode;
 use super::{
     biased_pick, op_sojourn, AvailabilityEstimate, DowntimeBooks, IterationOutcome, McConfig,
-    McEngine, McVariance, SimWorkspace, Weights,
+    McEngine, McVariance, SimWorkspace,
 };
 use crate::error::{CoreError, Result};
 use crate::params::ModelParams;
@@ -367,10 +367,9 @@ impl FailOverMc {
         super::run_iterations_cancellable(
             config,
             cancel,
-            Weights::of(bias.is_some()),
             || SimWorkspace::with_telemetry(config.telemetry),
             |ws, i| {
-                let mut rng = ws.mission_rng(base, i);
+                let mut rng = SimRng::substream_from_base(base, i);
                 match bias {
                     Some(bias) => {
                         self.simulate_jump_chain_biased(horizon, bias, &mut rng, &mut ws.telemetry)
@@ -403,7 +402,7 @@ impl FailOverMc {
         ws: &mut SimWorkspace,
     ) -> IterationOutcome {
         if self.fast_path() {
-            let op_cut = ws.sojourn_cut(self.table.totals[Mode::Op as usize], horizon);
+            let op_cut = SojournCut::new(self.table.totals[Mode::Op as usize], horizon);
             self.simulate_jump_chain(horizon, op_cut, rng, &mut ws.telemetry)
         } else {
             self.simulate_event_queue(horizon, rng, ws)
@@ -919,7 +918,9 @@ mod tests {
                 let mut rng = SimRng::seed_from(s);
                 let _ = mc.simulate_once_with(30_000.0, &mut rng, &mut reused);
             }
-            reused.log.begin(3.0, OutageCause::DataLoss); // poison
+            reused
+                .trace
+                .record(3.0, availsim_storage::TraceKind::DataLoss); // poison
             let mut fresh = SimWorkspace::new();
             let mut rng_a = SimRng::seed_from(9);
             let mut rng_b = SimRng::seed_from(9);

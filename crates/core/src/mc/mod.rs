@@ -39,7 +39,7 @@ use availsim_sim::parallel::{ordered_parallel_map_cancellable, CancelToken};
 use availsim_sim::rng::{SimRng, SojournCut};
 use availsim_sim::stats::{t_interval, wilson_interval, ConfidenceInterval, RunningStats};
 use availsim_sim::telemetry::{Counter, CounterSnapshot, Telemetry};
-use availsim_storage::{DowntimeLog, EventTrace, OutageCause};
+use availsim_storage::{EventTrace, OutageCause};
 
 /// Which per-mission engine a Monte-Carlo model runs.
 ///
@@ -276,8 +276,6 @@ pub struct SimWorkspace {
     pub(crate) failover: failover::FoScratch,
     /// Shared queue + per-array state tables for [`FleetMc`].
     pub(crate) fleet: fleet::FleetScratch,
-    /// Downtime accounting, shared by every engine.
-    pub(crate) log: DowntimeLog,
     /// Reusable Fig. 1-style trace buffer (see [`Self::trace_mut`]).
     pub(crate) trace: EventTrace,
     /// Mask-gated telemetry registry every engine hook reports into
@@ -287,12 +285,6 @@ pub struct SimWorkspace {
     /// Queue-traffic totals already drained into a snapshot; the next
     /// [`TelemetrySource::drain_counters`] reports deltas against this.
     queue_baseline: QueueStats,
-    /// The OP sojourn cut the last single-mission jump-chain call used
-    /// (see [`Self::sojourn_cut`]).
-    sojourn_cut: Option<SojournCut>,
-    /// The stream of the mission expected next, opened one mission ahead
-    /// (see [`Self::mission_rng`]): `(substream base, index, stream)`.
-    next_rng: Option<(u64, u64, SimRng)>,
 }
 
 impl SimWorkspace {
@@ -332,37 +324,6 @@ impl SimWorkspace {
         total
     }
 
-    /// The [`SojournCut`] of `(rate, horizon)`. A cut is a pure function
-    /// of the pair, so the workspace keeps the last one and rebuilds it
-    /// (an `exp`) only when single missions change the pair — the batch
-    /// runners build theirs once per run instead.
-    pub(crate) fn sojourn_cut(&mut self, rate: f64, horizon: f64) -> Option<SojournCut> {
-        match self.sojourn_cut {
-            Some(cut) if cut.rate() == rate && cut.horizon() == horizon => Some(cut),
-            _ => {
-                self.sojourn_cut = SojournCut::new(rate, horizon);
-                self.sojourn_cut
-            }
-        }
-    }
-
-    /// The RNG stream of mission `index` of a run with substream base
-    /// `base` — `SimRng::substream_from_base(base, index)`, state for
-    /// state. Missions of a scheduling block arrive in index order, so the
-    /// workspace opens mission `index + 1`'s stream here, one mission
-    /// ahead: its seeding then overlaps mission `index` instead of
-    /// delaying the first draw of the next one.
-    #[inline]
-    pub(crate) fn mission_rng(&mut self, base: u64, index: u64) -> SimRng {
-        let rng = match self.next_rng.take() {
-            Some((b, i, rng)) if b == base && i == index => rng,
-            _ => SimRng::substream_from_base(base, index),
-        };
-        let next = index.wrapping_add(1);
-        self.next_rng = Some((base, next, SimRng::substream_from_base(base, next)));
-        rng
-    }
-
     /// Resets every buffer to its just-constructed state while retaining
     /// allocated capacity.
     ///
@@ -374,12 +335,9 @@ impl SimWorkspace {
         self.conventional.reset(0);
         self.failover.reset();
         self.fleet.reset(0, 0);
-        self.log.clear();
         self.trace.clear();
         let _ = self.telemetry.take();
         self.queue_baseline = self.queue_stats_total();
-        self.sojourn_cut = None;
-        self.next_rng = None;
     }
 
     /// The reusable trace buffer, for callers that record per-mission
@@ -585,12 +543,12 @@ pub(crate) fn op_sojourn(
     cut.sojourn(rng.next_open_f64())
 }
 
-/// Scalar downtime accounting of one jump-chain mission: the semantics of
-/// [`DowntimeLog`] — the first cause of an outage wins, an outage closes at
-/// `max(t, start)`, and durations are summed in closing order, starting
-/// from the empty `f64` sum (`-0.0`) — without keeping the outage list. The
-/// result is the same [`IterationOutcome`] a log-based mission reports,
-/// bit for bit.
+/// Scalar downtime accounting of one mission, used by every engine of
+/// this module: the semantics of [`availsim_storage::DowntimeLog`] — the
+/// first cause of an outage wins, an outage closes at `max(t, start)`, and
+/// durations are summed in closing order, starting from the empty `f64`
+/// sum (`-0.0`) — without keeping the outage list. The result is the same
+/// [`IterationOutcome`] a log-based mission reports, bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DowntimeBooks {
     open: Option<(f64, OutageCause)>,
@@ -800,7 +758,6 @@ pub(crate) fn run_to_precision_with<W, I, F>(
     config: &McConfig,
     target_half_width: f64,
     max_iterations: u64,
-    weights: Weights,
     make_ws: I,
     sim: F,
 ) -> Result<AvailabilityEstimate>
@@ -814,7 +771,6 @@ where
         target_half_width,
         max_iterations,
         None,
-        weights,
         make_ws,
         sim,
     )
@@ -830,7 +786,6 @@ pub(crate) fn run_to_precision_cancellable<W, I, F>(
     target_half_width: f64,
     max_iterations: u64,
     cancel: Option<&CancelToken>,
-    weights: Weights,
     make_ws: I,
     sim: F,
 ) -> Result<AvailabilityEstimate>
@@ -856,7 +811,7 @@ where
             iterations: total,
             ..*config
         };
-        let est = run_iterations_cancellable(&cfg, cancel, weights, &make_ws, &sim)?;
+        let est = run_iterations_cancellable(&cfg, cancel, &make_ws, &sim)?;
         // A zero-width interval is *degenerate*, not converged: every
         // sample was identical — typically a rare-event run whose batch
         // observed no failure at all. Declaring victory there would report
@@ -956,30 +911,6 @@ pub(crate) fn biased_pick(
     }
 }
 
-/// What the iteration runner may assume about [`IterationOutcome::weight`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Weights {
-    /// Every mission has weight exactly `1.0` (naive sampling and
-    /// splitting replications). `1.0 · x` is exact, so the runner skips
-    /// the multiplies and counts the weight sums instead of adding them —
-    /// the same bits as the weighted path.
-    Unit,
-    /// Likelihood-ratio weights (failure biasing).
-    Likelihood,
-}
-
-impl Weights {
-    /// The weights a resolved variance scheme produces: only failure
-    /// biasing with a positive bias carries likelihood ratios.
-    pub(crate) fn of(biased: bool) -> Self {
-        if biased {
-            Weights::Likelihood
-        } else {
-            Weights::Unit
-        }
-    }
-}
-
 /// Iterations per scheduling block (minimum). Block boundaries depend only
 /// on the iteration count, never on the thread count — the cornerstone of
 /// the [`McConfig::threads`] determinism contract.
@@ -999,7 +930,7 @@ pub(crate) fn run_iterations<F>(config: &McConfig, sim: F) -> Result<Availabilit
 where
     F: Fn(u64) -> IterationOutcome + Sync,
 {
-    run_iterations_cancellable(config, None, Weights::Likelihood, || (), |_, i| sim(i))
+    run_iterations_cancellable(config, None, || (), |_, i| sim(i))
 }
 
 /// Runs `config.iterations` missions of `sim` in parallel and aggregates.
@@ -1016,9 +947,6 @@ where
 /// load balances dynamically; block partials are reassembled and merged in
 /// block order, so the aggregate is bit-identical at any thread count.
 ///
-/// `weights` says whether every outcome has unit weight, which lets the
-/// per-mission accumulation skip its multiplies (see [`Weights::Unit`]).
-///
 /// `cancel`, when present, is a cooperative [`CancelToken`] (deadline
 /// and/or explicit cancellation); pass `None` for the plain
 /// run-to-completion behaviour every engine had before deadlines existed.
@@ -1033,7 +961,6 @@ where
 pub(crate) fn run_iterations_cancellable<W, I, F>(
     config: &McConfig,
     cancel: Option<&CancelToken>,
-    weights: Weights,
     make_ws: I,
     sim: F,
 ) -> Result<AvailabilityEstimate>
@@ -1085,50 +1012,25 @@ where
                 weight_max: 0.0,
                 counters: CounterSnapshot::default(),
             };
-            match weights {
-                Weights::Unit => {
-                    // The weighted loop below with `weight = 1.0`: each
-                    // `1.0 * x` is `x` exactly, a sum of n ones is n
-                    // exactly (n < 2⁵³), and their maximum is 1.
-                    for i in lo..hi {
-                        let out = sim(ws, i);
-                        debug_assert_eq!(out.weight, 1.0, "unit-weight run got a weight");
-                        p.stats
-                            .push(1.0 - out.downtime_hours / config.horizon_hours);
-                        p.downtime += out.downtime_hours;
-                        p.du_downtime += out.du_downtime_hours;
-                        p.du_events += out.du_events;
-                        p.dl_events += out.dl_events;
-                        if out.first_loss_hours.is_finite() {
-                            p.loss_missions += 1;
-                            p.first_loss_sum += out.first_loss_hours;
-                        }
-                        p.loss_magnitude += out.dl_events as f64;
-                    }
-                    let n = (hi - lo) as f64;
-                    p.weight_sum = n;
-                    p.weight_sq_sum = n;
-                    p.weight_max = 1.0;
+            for i in lo..hi {
+                let out = sim(ws, i);
+                // `weight` is exactly 1.0 for naive sampling, and `1.0 * x`
+                // is a bit-exact identity — the naive estimator is
+                // unchanged down to the last bit.
+                p.stats
+                    .push(1.0 - out.weight * out.downtime_hours / config.horizon_hours);
+                p.downtime += out.weight * out.downtime_hours;
+                p.du_downtime += out.weight * out.du_downtime_hours;
+                p.du_events += out.du_events;
+                p.dl_events += out.dl_events;
+                if out.first_loss_hours.is_finite() {
+                    p.loss_missions += 1;
+                    p.first_loss_sum += out.first_loss_hours;
                 }
-                Weights::Likelihood => {
-                    for i in lo..hi {
-                        let out = sim(ws, i);
-                        p.stats
-                            .push(1.0 - out.weight * out.downtime_hours / config.horizon_hours);
-                        p.downtime += out.weight * out.downtime_hours;
-                        p.du_downtime += out.weight * out.du_downtime_hours;
-                        p.du_events += out.du_events;
-                        p.dl_events += out.dl_events;
-                        if out.first_loss_hours.is_finite() {
-                            p.loss_missions += 1;
-                            p.first_loss_sum += out.first_loss_hours;
-                        }
-                        p.loss_magnitude += out.weight * out.dl_events as f64;
-                        p.weight_sum += out.weight;
-                        p.weight_sq_sum += out.weight * out.weight;
-                        p.weight_max = p.weight_max.max(out.weight);
-                    }
-                }
+                p.loss_magnitude += out.weight * out.dl_events as f64;
+                p.weight_sum += out.weight;
+                p.weight_sq_sum += out.weight * out.weight;
+                p.weight_max = p.weight_max.max(out.weight);
             }
             p.counters = ws.drain_counters();
             if config.telemetry {
@@ -1214,6 +1116,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use availsim_storage::DowntimeLog;
 
     #[test]
     fn config_validation() {
@@ -1329,53 +1232,6 @@ mod tests {
             );
             assert_eq!(out.first_loss_hours.to_bits(), first_loss.to_bits());
         }
-    }
-
-    #[test]
-    fn unit_weight_accumulation_matches_the_weighted_path() {
-        let sim = |i: u64| IterationOutcome {
-            downtime_hours: if i.is_multiple_of(3) {
-                -0.0
-            } else {
-                (i as f64).sqrt()
-            },
-            du_downtime_hours: (i % 5) as f64 * 0.25,
-            dl_downtime_hours: 0.0,
-            du_events: i % 2,
-            dl_events: i % 7,
-            first_loss_hours: if i % 4 == 1 { i as f64 } else { f64::INFINITY },
-            weight: 1.0,
-        };
-        let cfg = McConfig {
-            iterations: 1_000,
-            horizon_hours: 77.0,
-            seed: 0,
-            confidence: 0.95,
-            threads: 2,
-            ..McConfig::default()
-        };
-        let run = |weights| {
-            run_iterations_cancellable(&cfg, None, weights, || (), |_, i| sim(i)).unwrap()
-        };
-        let (unit, weighted) = (run(Weights::Unit), run(Weights::Likelihood));
-        for (a, b) in [
-            (unit.availability.mean, weighted.availability.mean),
-            (
-                unit.availability.half_width,
-                weighted.availability.half_width,
-            ),
-            (unit.overall_availability, weighted.overall_availability),
-            (unit.mean_downtime_hours, weighted.mean_downtime_hours),
-            (unit.du_downtime_share, weighted.du_downtime_share),
-            (unit.nomdl_per_tb, weighted.nomdl_per_tb),
-            (unit.effective_sample_size, weighted.effective_sample_size),
-            (unit.max_weight, weighted.max_weight),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(unit.loss_missions, weighted.loss_missions);
-        assert_eq!(unit.du_events, weighted.du_events);
-        assert_eq!(unit.dl_events, weighted.dl_events);
     }
 
     #[test]
@@ -1514,15 +1370,8 @@ mod tests {
             threads: 1,
             ..McConfig::default()
         };
-        let est = run_to_precision_with(
-            &cfg,
-            1e-9,
-            MIN_PILOT_ITERATIONS,
-            Weights::Unit,
-            || (),
-            |_, i| sim(i),
-        )
-        .unwrap();
+        let est =
+            run_to_precision_with(&cfg, 1e-9, MIN_PILOT_ITERATIONS, || (), |_, i| sim(i)).unwrap();
         assert!(
             est.iterations >= MIN_PILOT_ITERATIONS,
             "pilot ran only {} iterations",
@@ -1532,8 +1381,7 @@ mod tests {
         assert!(est.availability.half_width > 0.0);
 
         // The floor never overrides the caller's hard budget.
-        let capped =
-            run_to_precision_with(&cfg, 1e-9, 8, Weights::Unit, || (), |_, i| sim(i)).unwrap();
+        let capped = run_to_precision_with(&cfg, 1e-9, 8, || (), |_, i| sim(i)).unwrap();
         assert_eq!(capped.iterations, 8);
     }
 
@@ -1690,8 +1538,7 @@ mod tests {
             threads: 1,
             ..McConfig::default()
         };
-        let est =
-            run_to_precision_with(&cfg, 1e-3, 4096, Weights::Unit, || (), |_, i| sim(i)).unwrap();
+        let est = run_to_precision_with(&cfg, 1e-3, 4096, || (), |_, i| sim(i)).unwrap();
         assert!(
             est.iterations > 500,
             "stopped at {} iterations with a degenerate CI",

@@ -3,7 +3,7 @@
 //! Every value below is the `f64::to_bits` (or exact count) of an
 //! estimate taken from the engines before their per-mission hot path was
 //! restructured (hoisted per-run constants, scalar downtime books, the
-//! first-sojourn horizon cut, unit-weight block accumulation). The
+//! first-sojourn horizon cut). The
 //! restructuring is required to be invisible: same RNG stream, same
 //! accounting order, same bits — at one thread and at four.
 //!
